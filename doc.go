@@ -24,7 +24,13 @@
 // collect in a fixed order — so -j trades nothing but wall-clock time.
 // The simulator's per-cycle loop is allocation-free in steady state
 // (instructions recycle through a per-core free list; see
-// internal/pipeline/pool.go and BenchmarkStepAllocs).
+// internal/pipeline/pool.go and BenchmarkStepAllocs). Its issue stage is
+// event-driven, as in hardware wakeup/select logic: each waiting
+// instruction counts its unready sources and sits on those registers'
+// waiter lists, a register becoming ready wakes its waiters, and select
+// walks only per-queue ready lists in dispatch order, so a cycle's cost
+// tracks the instructions that can move rather than the ones clogging the
+// queues (internal/pipeline/issue.go, BenchmarkIssueStage).
 //
 // On top of the session sits a declarative scenario engine
 // (internal/scenario): a Spec — loaded from JSON or built in code — names
@@ -217,7 +223,9 @@
 // /v1/metrics, and CI's leak-smoke step asserts the count returns to
 // its post-startup baseline after a full smtload run.
 //
-// Start with README.md for a tour, DESIGN.md for the architecture and the
-// substitutions made for unavailable artifacts, and EXPERIMENTS.md for the
-// measured-versus-published comparison of every table and figure.
+// ROADMAP.md holds the project's aims and open items, CHANGES.md the
+// history of what each change did and measured, and smtbench/README.md
+// the end-to-end benchmark. Measured values of every table and figure
+// come from `experiments -fig all`; the paper's published numbers are not
+// in the repository, so no file compares the two yet.
 package repro

@@ -98,7 +98,13 @@ func (c *Core) tryDispatch(t *thread, di *DynInst, now uint64) bool {
 
 	di.iq = kind
 	di.dispatched = true
-	q.entries = append(q.entries, di)
+	di.stamp = c.nextStamp
+	c.nextStamp++
+	c.waitOn(di, 0, di.tmpl.Src1, di.src1)
+	c.waitOn(di, 1, di.tmpl.Src2, di.src2)
+	if di.pending == 0 {
+		q.insertReady(di)
+	}
 	q.count++
 	t.iqHeld[kind]++
 	t.rob.pushBack(di)

@@ -28,9 +28,9 @@ func (c *Core) allocInst() *DynInst {
 
 // freeInst recycles an instruction that has left the machine (retired with
 // no live rename-table reference, squashed, or dropped from the front
-// end). The object's terminal flags are deliberately left set until
-// reallocation: lazily-compacted structures (issue-queue entries) may
-// still observe it this cycle and must keep seeing squashed/issued/folded.
+// end). No issue-queue structure names it by then: every path out of the
+// queue unlinks it from the waiter and ready lists. The completion wheel
+// and the miss-detection list may still hold it, and drop it by id.
 //
 // Freeing is only legal once the instruction can no longer be resolved
 // through a thread's rename table; retire and exitRunahead enforce that.

@@ -16,7 +16,8 @@
 // size bounds the out-of-order window rather than the architectural state.
 // (The paper's merged-file accounting reserves 32 registers per thread for
 // architectural state; our x-axis therefore corresponds to the paper's
-// *renaming* registers. EXPERIMENTS.md discusses the correspondence.)
+// *renaming* registers: a point at N registers here compares with the
+// paper's point at N plus 32 per thread.)
 //
 // Runahead support is built in: each register carries an INV bit (the
 // paper's §3.3 "register control"), and pinning exists so checkpointed

@@ -25,8 +25,9 @@ type Options struct {
 
 // DefaultLen is the default trace length. The paper simulates 300M
 // instruction SimPoint intervals; our synthetic programs are stationary by
-// construction, so a much shorter window measures the same steady state
-// (see DESIGN.md §3).
+// construction (each benchmark's profile fixes its instruction mix and
+// footprint for the whole trace), so a much shorter window measures the
+// same steady state.
 const DefaultLen = 60_000
 
 // withDefaults fills in zero fields.
